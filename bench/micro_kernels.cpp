@@ -6,13 +6,20 @@
 // the baseline predictors. Every batched result is checked bit-identical
 // to the scalar sweep before it is timed.
 //
+// Placement's Eq. 22 most-matched selection is timed the same way: the
+// linear reference scan against sched::CandidatePool over 100k
+// candidates, after checking that both choose the same index for every
+// entity.
+//
 // Emits the standard bench JSON record (schema in docs/observability.md)
 // with the obs snapshot nested, so the CI bench-smoke job can assert the
 // predict.batch.* counters move; the per-size speedup lands in the
-// predict.batch.speedup.b<N> gauges.
+// predict.batch.speedup.b<N> gauges and the placement-index speedup in
+// sched.index.speedup.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <iostream>
 #include <limits>
 #include <stdexcept>
@@ -25,6 +32,7 @@
 #include "predict/dnn_predictor.hpp"
 #include "predict/ets_predictor.hpp"
 #include "predict/markov_predictor.hpp"
+#include "sched/volume.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -64,6 +72,43 @@ std::vector<std::vector<double>> make_histories(std::size_t rows,
 /// Rows per second, guarded against a sub-tick elapsed time.
 double rate(std::size_t rows, double ms) {
   return static_cast<double>(rows) * 1e3 / std::max(ms, 1e-6);
+}
+
+/// One place()-shaped batch through the linear scan: copy the candidates,
+/// then select and consume per demand. Returns the chosen indices.
+std::vector<std::size_t> place_linear(
+    const std::vector<sched::VmAvailability>& candidates,
+    const std::vector<trace::ResourceVector>& demands,
+    const trace::ResourceVector& max_cap) {
+  std::vector<sched::VmAvailability> pool = candidates;
+  std::vector<std::size_t> chosen;
+  for (const trace::ResourceVector& demand : demands) {
+    const auto slot = sched::most_matched(pool, demand, max_cap);
+    chosen.push_back(slot.value_or(pool.size()));
+    if (!slot.has_value()) continue;
+    pool[*slot].available -= demand;
+    pool[*slot].available = pool[*slot].available.clamped_non_negative();
+  }
+  return chosen;
+}
+
+/// The same batch through sched::CandidatePool, build included.
+std::vector<std::size_t> place_indexed(
+    const std::vector<sched::VmAvailability>& candidates,
+    const std::vector<trace::ResourceVector>& demands,
+    const trace::ResourceVector& max_cap) {
+  sched::CandidatePool pool(max_cap);
+  pool.reserve(candidates.size());
+  for (const sched::VmAvailability& vm : candidates) {
+    pool.add(vm.vm_id, vm.available);
+  }
+  std::vector<std::size_t> chosen;
+  for (const trace::ResourceVector& demand : demands) {
+    const auto slot = pool.best(demand);
+    chosen.push_back(slot.value_or(pool.size()));
+    if (slot.has_value()) pool.consume(*slot, demand);
+  }
+  return chosen;
 }
 
 }  // namespace
@@ -216,6 +261,61 @@ int main(int argc, char** argv) {
     table.add_row("ets_predict", {1.0, rate(kReps, ets_ms), 0.0, 0.0});
     table.add_row("markov_predict", {1.0, rate(kReps, markov_ms), 0.0, 0.0});
     points += 2;
+  }
+
+  // --- Eq. 22 most-matched: linear scan vs CandidatePool ---------------
+  // Columns as above: "scalar" is the linear scan, "batch" the index;
+  // rows are placed entities, each side timed with its per-batch build.
+  {
+    constexpr std::size_t kCandidates = 100000;
+    constexpr std::size_t kEntities = 64;
+    util::Rng prng(opts.seed + 5);
+    const trace::ResourceVector max_cap(1, 1, 1);
+    std::vector<sched::VmAvailability> candidates;
+    for (std::size_t i = 0; i < kCandidates; ++i) {
+      candidates.push_back(
+          {static_cast<std::uint32_t>(i),
+           trace::ResourceVector(prng.uniform(0.0, 1.0),
+                                 prng.uniform(0.0, 1.0),
+                                 prng.uniform(0.0, 1.0))});
+    }
+    std::vector<trace::ResourceVector> demands;
+    for (std::size_t e = 0; e < kEntities; ++e) {
+      demands.emplace_back(prng.uniform(0.0, 0.3), prng.uniform(0.0, 0.3),
+                           prng.uniform(0.0, 0.3));
+    }
+    // Contract check before timing: the index must choose what the
+    // linear scan chooses, entity for entity.
+    if (place_linear(candidates, demands, max_cap) !=
+        place_indexed(candidates, demands, max_cap)) {
+      throw std::logic_error("micro_kernels: index/linear divergence");
+    }
+    double linear_ms = std::numeric_limits<double>::infinity();
+    {
+      obs::ScopedTimer timer("bench.most_matched_linear");
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        bench::BenchTimer t;
+        sink += static_cast<double>(
+            place_linear(candidates, demands, max_cap).back());
+        linear_ms = std::min(linear_ms, t.elapsed_ms());
+      }
+    }
+    double indexed_ms = std::numeric_limits<double>::infinity();
+    {
+      obs::ScopedTimer timer("bench.most_matched_indexed");
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        bench::BenchTimer t;
+        sink += static_cast<double>(
+            place_indexed(candidates, demands, max_cap).back());
+        indexed_ms = std::min(indexed_ms, t.elapsed_ms());
+      }
+    }
+    const double speedup = linear_ms / std::max(indexed_ms, 1e-6);
+    obs::set_gauge("sched.index.speedup", speedup);
+    table.add_row("most_matched_100k",
+                  {static_cast<double>(kEntities), rate(kEntities, linear_ms),
+                   rate(kEntities, indexed_ms), speedup});
+    ++points;
   }
 
   std::cout << table.to_string() << "checksum " << sink << "\n\n";

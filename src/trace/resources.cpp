@@ -30,14 +30,6 @@ ResourceVector& ResourceVector::operator*=(double s) {
   return *this;
 }
 
-bool ResourceVector::fits_within(const ResourceVector& other,
-                                 double eps) const {
-  for (std::size_t i = 0; i < kNumResources; ++i) {
-    if (v_[i] > other.v_[i] + eps) return false;
-  }
-  return true;
-}
-
 bool ResourceVector::any_negative(double eps) const {
   for (std::size_t i = 0; i < kNumResources; ++i) {
     if (v_[i] < -eps) return true;

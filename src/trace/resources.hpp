@@ -60,8 +60,14 @@ class ResourceVector {
   friend bool operator==(const ResourceVector&, const ResourceVector&) =
       default;
 
-  /// True when every component of this vector is <= other + eps.
-  bool fits_within(const ResourceVector& other, double eps = 1e-9) const;
+  /// True when every component of this vector is <= other + eps. Inline:
+  /// placement evaluates it once per candidate VM per entity.
+  bool fits_within(const ResourceVector& other, double eps = 1e-9) const {
+    for (std::size_t i = 0; i < kNumResources; ++i) {
+      if (v_[i] > other.v_[i] + eps) return false;
+    }
+    return true;
+  }
 
   /// True when any component is negative beyond -eps.
   bool any_negative(double eps = 1e-9) const;
