@@ -74,6 +74,7 @@ class PredictionAwareScheduler final : public Scheduler {
   /// they stay bit-identical to the reference schedulers.
   util::Rng tie_break_rng_;
   double lambda_ = 1.0;
+  CandidatePools pools_;
 };
 
 }  // namespace corp::sched
